@@ -19,7 +19,7 @@ vet:
 race:
 	$(GO) test -race ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb
 
-verify: build vet test race sync-golden wire-golden trend-golden
+verify: build vet test race replay-golden perfdb-golden sync-golden wire-golden trend-golden
 
 # Opt into the chaos sweep as part of verify with `make verify CHAOS=1`.
 ifeq ($(CHAOS),1)
@@ -67,9 +67,9 @@ replay-golden:
 	@tmp=$$(mktemp -d) && \
 	trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/pperf -prog small-messages -seed 7 -hierarchy -critical-path \
-		-trace "$$tmp/live.json" -record "$$tmp/run.pparch" 2>/dev/null \
+		-trace "$$tmp/live.json" -record "$$tmp/run.ppdb" 2>/dev/null \
 		| sed "s#$$tmp/live.json#TRACE#" > "$$tmp/live.txt" && \
-	$(GO) run ./cmd/pperf -replay "$$tmp/run.pparch" -hierarchy -critical-path \
+	$(GO) run ./cmd/pperf -replay "$$tmp/run.ppdb" -hierarchy -critical-path \
 		-trace "$$tmp/replay.json" 2>/dev/null \
 		| sed "s#$$tmp/replay.json#TRACE#" > "$$tmp/replay.txt" && \
 	diff "$$tmp/live.txt" "$$tmp/replay.txt" && \

@@ -411,7 +411,7 @@ func dbMain(args []string) int {
 // dbAdd ingests one recorded archive, replaying it offline to compute the
 // Consultant verdict stored in the index.
 func dbAdd(st *perfdb.Store, path, label string) int {
-	a, err := perfdb.LoadAny(path)
+	a, err := perfdb.LoadArchive(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pperf db:", err)
 		return 1

@@ -7,9 +7,9 @@
 //
 //	pperf -prog small-messages -impl lam
 //	pperf -prog winscpw-sync -impl mpich2 -iterations 500
-//	pperf -prog small-messages -record run.pparch
-//	pperf -replay run.pparch
-//	pperf -replay run.pparch -what-if-sync 0.05
+//	pperf -prog small-messages -record run.ppdb
+//	pperf -replay run.ppdb
+//	pperf -replay run.ppdb -what-if-sync 0.05
 //	pperf -prog small-messages -db ./experiments -db-label baseline
 //	pperf db -store ./experiments diff r0001 r0002
 //	pperf db -store ./experiments diff -since-fault -format=json r0001 r0002
@@ -84,9 +84,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pperf: -record/-db and -replay are mutually exclusive")
 			os.Exit(2)
 		}
-		// LoadAny reads both archive formats: the flat v1 .pparch and the
-		// chunked compacted form -record and the experiment store write.
-		a, err := perfdb.LoadAny(*replay)
+		a, err := perfdb.LoadArchive(*replay)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pperf:", err)
 			os.Exit(1)

@@ -63,9 +63,8 @@ type Options struct {
 	Trace *trace.Config
 	// Recorder, when non-nil, is attached to the front end before launch
 	// and captures the full analysis-plane event stream for offline replay
-	// (see internal/session). Either the in-memory session.Recorder or
-	// perfdb's bounded-memory StreamRecorder satisfies it. Nil leaves
-	// every recording hook cold.
+	// (see internal/session), e.g. perfdb's bounded-memory StreamRecorder.
+	// Nil leaves every recording hook cold.
 	Recorder session.Sink
 }
 

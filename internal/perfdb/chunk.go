@@ -29,10 +29,9 @@ import (
 // payload][payload], so corruption is detected per chunk instead of
 // garbage-decoded, and a file cut mid-write loads as a Truncated archive
 // holding the complete-chunk prefix (the trailer doubles as the
-// completeness mark, like the v1 format's up-front event count). The
-// final header lives in the trailer because a *streaming* writer does not
-// know Meta/Extra — the run description pperfmark stamps at the end of
-// the run — until the recording finishes.
+// completeness mark). The final header lives in the trailer because a
+// *streaming* writer does not know Meta/Extra — the run description
+// pperfmark stamps at the end of the run — until the recording finishes.
 var chunkMagic = []byte("PPDBA1")
 
 // ChunkVersion is the chunked-archive format version. The session.Header
@@ -369,7 +368,7 @@ func (w *Writer) Close(h session.Header) error {
 }
 
 // WriteArchive re-encodes a loaded session archive in chunked, compacted
-// form — the store's ingest path for v1 archives.
+// form — the store's ingest path for archives recorded outside it.
 func WriteArchive(w io.Writer, a *session.Archive) error {
 	cw, err := NewWriter(w)
 	if err != nil {
@@ -514,26 +513,4 @@ func LoadArchive(path string) (*session.Archive, error) {
 	}
 	defer f.Close()
 	return ReadArchive(f)
-}
-
-// LoadAny loads a session archive in either format, sniffing the magic:
-// "PPARCH" (the v1 buffer-everything format) dispatches to session.Load,
-// "PPDBA1" (chunked) to LoadArchive.
-func LoadAny(path string) (*session.Archive, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	magic := make([]byte, len(chunkMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return nil, fmt.Errorf("perfdb: not a pperf archive (short file: %v)", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	if bytes.Equal(magic, chunkMagic) {
-		return ReadArchive(f)
-	}
-	return session.Read(f)
 }

@@ -130,6 +130,9 @@ func TestTruncatedChunkedArchive(t *testing.T) {
 		if !got.Truncated {
 			t.Fatalf("cut at %d: complete-looking archive from a truncated stream", cut)
 		}
+		if note := got.TruncationNote(); !strings.Contains(note, "[replay truncated after") {
+			t.Fatalf("cut at %d: TruncationNote() = %q", cut, note)
+		}
 		seenTruncated = true
 		if len(got.Events) > len(a.Events) {
 			t.Fatalf("cut at %d: %d events from %d", cut, len(got.Events), len(a.Events))
@@ -146,6 +149,14 @@ func TestTruncatedChunkedArchive(t *testing.T) {
 	}
 	if !seenTruncated {
 		t.Error("no cut position produced a truncated archive")
+	}
+	// The complete archive must not be flagged.
+	whole, err := ReadArchive(bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Truncated || whole.TruncationNote() != "" {
+		t.Errorf("complete archive flagged truncated (note %q)", whole.TruncationNote())
 	}
 }
 
@@ -179,39 +190,26 @@ func TestCorruptChunkRejected(t *testing.T) {
 	if _, err := ReadArchive(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic loaded cleanly")
 	}
+	// Another event-schema version is refused, naming it.
+	var future bytes.Buffer
+	w, err := NewWriter(&future)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.writeHeaderChunk(session.Header{Version: session.Version + 41}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadArchive(bytes.NewReader(future.Bytes())); err == nil || !strings.Contains(err.Error(), "version 42") {
+		t.Errorf("future version: err = %v", err)
+	}
 }
 
-func TestLoadAnyReadsBothFormats(t *testing.T) {
-	a := syntheticArchive(rand.New(rand.NewSource(8)), 120)
-	dir := t.TempDir()
-
-	chunked := filepath.Join(dir, "c.ppdb")
-	var buf bytes.Buffer
-	if err := WriteArchive(&buf, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(chunked, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	flat := filepath.Join(dir, "f.pparch")
-	rec := session.NewRecorder()
-	rec.SetHistogram(a.Header.NumBins, a.Header.BinWidth)
-	for k, v := range a.Header.Meta {
-		rec.SetMeta(k, v)
-	}
-	rec.SetExtra(a.Header.Extra)
-	replayEventsInto(rec, a.Events)
-	if err := rec.Save(flat); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, path := range []string{chunked, flat} {
-		got, err := LoadAny(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		archivesEquivalent(t, a, got)
+func TestLoadArchiveMissingFile(t *testing.T) {
+	if _, err := LoadArchive(filepath.Join(t.TempDir(), "absent.ppdb")); !os.IsNotExist(err) {
+		t.Errorf("err = %v, want not-exist", err)
 	}
 }
 

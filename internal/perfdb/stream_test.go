@@ -6,13 +6,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pperf/internal/datasource"
 	"pperf/internal/session"
 	"pperf/internal/sim"
 )
 
-// TestStreamRecorderBoundedMemory is the fix for the v1 recorder's
-// unbounded growth: however long the run, the streaming recorder holds at
-// most one chunk of events in memory.
+// TestStreamRecorderBoundedMemory: however long the run, the streaming
+// recorder holds at most one chunk of events in memory.
 func TestStreamRecorderBoundedMemory(t *testing.T) {
 	const chunk = 64
 	path := filepath.Join(t.TempDir(), "run.ppdb")
@@ -49,6 +49,30 @@ func TestStreamRecorderBoundedMemory(t *testing.T) {
 	archivesEquivalent(t, want, got)
 	if got.Header.Meta["program"] != "synthetic" || string(got.Header.Extra) != "payload" {
 		t.Errorf("finalized header lost Meta/Extra: %+v", got.Header)
+	}
+}
+
+// TestStreamRecorderCopiesBatch: the front end reuses its batch buffer as
+// soon as RecordSamples returns, while the event still waits in the
+// unflushed chunk; the archive must hold the batch as it was recorded.
+func TestStreamRecorderCopiesBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ppdb")
+	rec, err := NewStreamRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []datasource.Sample{{Metric: "m", Proc: "p0", Delta: 1}}
+	rec.RecordSamples(batch)
+	batch[0].Delta = 99 // caller reuses its buffer before the chunk flushes
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := LoadArchive(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Events[0].Samples[0].Delta; got != 1 {
+		t.Errorf("recorded delta = %v; recorder aliased the caller's batch", got)
 	}
 }
 

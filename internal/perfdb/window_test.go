@@ -43,9 +43,8 @@ func goldenPair() (*RunView, *RunView) {
 	return view(baseArch, "base"), view(newArch, "new")
 }
 
-// TestCompareDefaultMatchesGolden pins the api_redesign compatibility
-// bar: Compare with zero options (and the deprecated Diff wrapper) must
-// render byte-identically to the report the pre-Compare code produced,
+// TestCompareDefaultMatchesGolden pins the default report: Compare with
+// zero options must render byte-identically to the whole-run report
 // captured in testdata/diff_default.golden.
 func TestCompareDefaultMatchesGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/diff_default.golden")
@@ -59,9 +58,6 @@ func TestCompareDefaultMatchesGolden(t *testing.T) {
 	}
 	if got := rep.Render(); got != string(want) {
 		t.Errorf("Compare(default) diverges from the pre-redesign golden:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	if got := Diff(base, neu).Render(); got != string(want) {
-		t.Errorf("Diff wrapper diverges from the pre-redesign golden:\n%s", got)
 	}
 }
 

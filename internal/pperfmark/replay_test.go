@@ -7,12 +7,14 @@ package pperfmark
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"testing"
 
 	"pperf/internal/datasource"
 	"pperf/internal/faults"
 	"pperf/internal/mpi"
+	"pperf/internal/perfdb"
 	"pperf/internal/session"
 	"pperf/internal/trace"
 )
@@ -76,24 +78,35 @@ func snapshot(t *testing.T, res *Result) string {
 	return b.String()
 }
 
-// recordAndReplay runs the program live with a recorder attached, replays
-// the archive through a save/load cycle, and returns both results.
-func recordAndReplay(t *testing.T, name string, opt RunOptions) (*Result, *Result) {
+// recordRun runs the program live with a streaming recorder attached, as
+// -record does, and loads the closed archive back from disk.
+func recordRun(t *testing.T, name string, opt RunOptions) (*Result, *session.Archive) {
 	t.Helper()
-	rec := session.NewRecorder()
+	path := filepath.Join(t.TempDir(), "run.ppdb")
+	rec, err := perfdb.NewStreamRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt.Record = rec
 	live, err := Run(name, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/s.pparch"
-	if err := rec.Save(path); err != nil {
+	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, err := session.Load(path)
+	a, err := perfdb.LoadArchive(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return live, a
+}
+
+// recordAndReplay records the program live, replays the loaded archive,
+// and returns both results.
+func recordAndReplay(t *testing.T, name string, opt RunOptions) (*Result, *Result) {
+	t.Helper()
+	live, a := recordRun(t, name, opt)
 	replayed, err := Replay(a)
 	if err != nil {
 		t.Fatal(err)
@@ -198,10 +211,17 @@ func BenchmarkRunRecorderCold(b *testing.B) {
 }
 
 func BenchmarkRunRecording(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "run.ppdb")
 	var events int
 	for i := 0; i < b.N; i++ {
-		rec := session.NewRecorder()
+		rec, err := perfdb.NewStreamRecorder(path)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := Run("small-messages", RunOptions{Impl: mpi.LAM, Seed: 7, Record: rec}); err != nil {
+			b.Fatal(err)
+		}
+		if err := rec.Close(); err != nil {
 			b.Fatal(err)
 		}
 		events += rec.EventCount()

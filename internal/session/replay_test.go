@@ -6,20 +6,27 @@ import (
 
 	"pperf/internal/datasource"
 	"pperf/internal/resource"
+	"pperf/internal/sim"
 	"pperf/internal/trace"
 )
 
+// barrierWindows is an enable followed by three sample batches of deltas
+// 3, 4 and 5, the first two each closed by a read barrier.
+func barrierWindows(f resource.Focus) []Event {
+	sample := func(t sim.Time, d float64) Event {
+		return Event{Kind: EvSamples, Samples: []datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: t, Delta: d}}}
+	}
+	return []Event{
+		{Kind: EvEnable, Metric: "m", Focus: f},
+		sample(1, 3), {Kind: EvBarrier},
+		sample(2, 4), {Kind: EvBarrier},
+		sample(3, 5),
+	}
+}
+
 func TestReplaySyncAppliesUpToBarrier(t *testing.T) {
 	f := resource.WholeProgram()
-	r := NewRecorder()
-	r.RecordEnable("m", f, "")
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 1, Delta: 3}})
-	r.RecordBarrier()
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 2, Delta: 4}})
-	r.RecordBarrier()
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 3, Delta: 5}})
-
-	rs := NewReplaySource(r.Archive())
+	rs := NewReplaySource(&Archive{Events: barrierWindows(f)})
 	sr, err := rs.EnableMetric("m", f)
 	if err != nil {
 		t.Fatal(err)
@@ -49,17 +56,8 @@ func TestReplaySyncAppliesUpToBarrier(t *testing.T) {
 // through Drain.
 func TestReplayTruncatedArchiveStopsAtLastBarrier(t *testing.T) {
 	f := resource.WholeProgram()
-	r := NewRecorder()
-	r.RecordEnable("m", f, "")
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 1, Delta: 3}})
-	r.RecordBarrier()
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 2, Delta: 4}})
-	r.RecordBarrier()
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 3, Delta: 5}})
-
-	a := r.Archive()
-	a.Truncated = true // as Read flags a cut stream
-	rs := NewReplaySource(a)
+	// As the archive reader flags a cut stream.
+	rs := NewReplaySource(&Archive{Events: barrierWindows(f), Truncated: true})
 	sr, err := rs.EnableMetric("m", f)
 	if err != nil {
 		t.Fatal(err)
@@ -80,13 +78,7 @@ func TestReplayTruncatedArchiveStopsAtLastBarrier(t *testing.T) {
 // fails on absent data rather than on a refused enable.
 func TestReplayTruncatedArchiveNoBarrier(t *testing.T) {
 	f := resource.WholeProgram()
-	r := NewRecorder()
-	r.RecordEnable("m", f, "")
-	r.RecordSamples([]datasource.Sample{{Metric: "m", Focus: f, Proc: "p0", Time: 1, Delta: 3}})
-
-	a := r.Archive()
-	a.Truncated = true
-	rs := NewReplaySource(a)
+	rs := NewReplaySource(&Archive{Events: barrierWindows(f)[:2], Truncated: true})
 	sr, err := rs.EnableMetric("m", f)
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +92,10 @@ func TestReplayTruncatedArchiveNoBarrier(t *testing.T) {
 
 func TestReplayEnableSemantics(t *testing.T) {
 	f := resource.WholeProgram()
-	r := NewRecorder()
-	r.RecordEnable("good", f, "")
-	r.RecordEnable("refused", f, "daemon node1: unknown metric")
-	rs := NewReplaySource(r.Archive())
+	rs := NewReplaySource(&Archive{Events: []Event{
+		{Kind: EvEnable, Metric: "good", Focus: f},
+		{Kind: EvEnable, Metric: "refused", Focus: f, Err: "daemon node1: unknown metric"},
+	}})
 
 	if _, err := rs.EnableMetric("good", f); err != nil {
 		t.Errorf("recorded success replayed as error: %v", err)
@@ -128,15 +120,16 @@ func TestReplayEnableSemantics(t *testing.T) {
 }
 
 func TestReplayTimelinePresence(t *testing.T) {
-	r := NewRecorder()
-	r.RecordBarrier()
-	rs := NewReplaySource(r.Archive())
+	events := []Event{{Kind: EvBarrier}}
+	rs := NewReplaySource(&Archive{Events: events})
 	if rs.Timeline() != nil {
 		t.Error("untraced archive grew a timeline")
 	}
-	r.RecordShard(trace.Shard{Daemon: "paradynd@node0", Proc: "p0", Node: "node0"})
-	r.RecordUndelivered("p0", 2)
-	rs = NewReplaySource(r.Archive())
+	events = append(events,
+		Event{Kind: EvShard, Shard: trace.Shard{Daemon: "paradynd@node0", Proc: "p0", Node: "node0"}},
+		Event{Kind: EvUndelivered, Proc: "p0", N: 2},
+	)
+	rs = NewReplaySource(&Archive{Events: events})
 	rs.Drain()
 	tl := rs.Timeline()
 	if tl == nil {

@@ -149,9 +149,6 @@ func JudgeSuiteRun(res *SuiteResult) *SuiteVerdict { return pperfmark.Judge(res)
 
 // Session recording and offline replay (see REPLAY.md).
 type (
-	// SessionRecorder captures the analysis-plane event stream of a live
-	// run into a replayable archive (RunOptions.Record / Options.Recorder).
-	SessionRecorder = session.Recorder
 	// SessionArchive is a loaded session recording.
 	SessionArchive = session.Archive
 	// ReplaySource serves a recorded session through the DataSource
@@ -159,11 +156,8 @@ type (
 	ReplaySource = session.ReplaySource
 )
 
-// NewSessionRecorder returns an empty session recorder.
-func NewSessionRecorder() *SessionRecorder { return session.NewRecorder() }
-
 // LoadSessionArchive reads a recorded session archive from disk.
-func LoadSessionArchive(path string) (*SessionArchive, error) { return session.Load(path) }
+func LoadSessionArchive(path string) (*SessionArchive, error) { return perfdb.LoadArchive(path) }
 
 // ReplaySuiteRun re-runs the analysis plane of a recorded suite run
 // offline, reproducing the live findings without the simulated cluster.
@@ -190,7 +184,8 @@ type (
 	// RunDiff is the ranked comparison of two stored runs.
 	RunDiff = perfdb.DiffReport
 	// StreamRecorder records a live session straight to a chunked
-	// compacted archive in bounded memory.
+	// compacted archive in bounded memory (SuiteOptions.Record /
+	// Options.Recorder).
 	StreamRecorder = perfdb.StreamRecorder
 )
 
@@ -200,13 +195,11 @@ func OpenExperimentStore(dir string) (*ExperimentStore, error) { return perfdb.O
 // NewStreamRecorder opens a streaming session recorder writing to path.
 func NewStreamRecorder(path string) (*StreamRecorder, error) { return perfdb.NewStreamRecorder(path) }
 
-// LoadAnyArchive reads a session archive in either format: the flat v1
-// .pparch or the chunked compacted form.
-func LoadAnyArchive(path string) (*SessionArchive, error) { return perfdb.LoadAny(path) }
-
 // DiffRuns compares two stored runs (base first) pair-by-pair with the
 // paper's paired-difference significance test.
-func DiffRuns(base, neu *RunView) *RunDiff { return perfdb.Diff(base, neu) }
+func DiffRuns(base, neu *RunView) (*RunDiff, error) {
+	return perfdb.Compare(base, neu, perfdb.CompareOptions{})
+}
 
 // Comparators.
 type (
