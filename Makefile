@@ -1,11 +1,11 @@
 # Build and verification entry points. `make verify` is the full CI gate:
-# tier-1 (build + tests), static analysis, and race-enabled tests of the
-# packages with real concurrency (the TCP transport and the daemon/fault
-# machinery it carries).
+# tier-1 (build + tests), formatting and static analysis, race-enabled tests
+# of the packages with real concurrency (the TCP transport and the
+# daemon/fault machinery it carries), and every golden.
 
 GO ?= go
 
-.PHONY: build test vet race verify bench replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire
+.PHONY: build test fmt vet race verify bench experiments-golden replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire
 
 build:
 	$(GO) build ./...
@@ -13,13 +13,17 @@ build:
 test:
 	$(GO) test ./...
 
+# fmt fails when any file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt needed:"; echo "$$out"; exit 1; }
+
 vet:
 	$(GO) vet ./...
 
 race:
 	$(GO) test -race ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb
 
-verify: build vet test race replay-golden perfdb-golden sync-golden wire-golden trend-golden
+verify: build fmt vet test race replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
 
 # Opt into the chaos sweep as part of verify with `make verify CHAOS=1`.
 ifeq ($(CHAOS),1)
@@ -58,6 +62,17 @@ fuzz-perfdb:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# experiments-golden regenerates every paper experiment and byte-compares the
+# report against the committed results/experiments_report.txt. After an
+# intended change, regenerate the file with
+# `go run ./cmd/experiments > results/experiments_report.txt`.
+experiments-golden:
+	@tmp=$$(mktemp -d) && \
+	trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/experiments > "$$tmp/report.txt" && \
+	cmp "$$tmp/report.txt" results/experiments_report.txt && \
+	echo "experiments-golden: report matches results/experiments_report.txt"
 
 # replay-golden records a seeded run with the CLI, replays the archive, and
 # fails on any difference between the live and replayed reports (the

@@ -116,15 +116,13 @@ func (d *Daemon) SetIncarnation(n int) { d.incarnation = n }
 func (d *Daemon) Incarnation() int { return d.incarnation }
 
 // EnableTracing arms trace-shard streaming: the daemon drains tr's span
-// recorders for its node on every tick and ships them to the front end.
-// When the transport has a dedicated bulk channel, the daemon also
-// registers the tracer's fill hook so recorders reaching the watermark are
-// drained and shipped immediately instead of waiting for the next tick.
+// recorders for its node on every tick and ships them to the front end over
+// the transport's bulk channel. It also registers the tracer's fill hook so
+// recorders reaching the watermark are drained and shipped immediately
+// instead of waiting for the next tick.
 func (d *Daemon) EnableTracing(tr *trace.Tracer) {
 	d.tracer = tr
-	if _, ok := d.tr.(BulkSink); ok {
-		tr.SetFillHook(d.nodeName, d.shipRecorder)
-	}
+	tr.SetFillHook(d.nodeName, d.shipRecorder)
 }
 
 // Name returns the daemon's identity.
@@ -148,9 +146,6 @@ func (reg *Registry) Replace(d *Daemon) *Daemon {
 	reg.byNode[d.node] = d
 	return old
 }
-
-// Current returns the node's current daemon, or nil.
-func (reg *Registry) Current(node int) *Daemon { return reg.byNode[node] }
 
 // AttachAll wires a set of daemons (one per node) into the world's
 // resource-discovery hooks, including spawn support with the configured
@@ -508,7 +503,7 @@ func (d *Daemon) tick() {
 	if d.tracer != nil {
 		d.tracer.DaemonSample(d.name, d.nodeName, d.eng.Now(), n)
 		d.flushBulk()
-		d.flushTraceShards()
+		d.flushRecorders()
 	}
 }
 

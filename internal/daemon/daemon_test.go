@@ -8,12 +8,14 @@ import (
 	"pperf/internal/mpi"
 	"pperf/internal/resource"
 	"pperf/internal/sim"
+	"pperf/internal/trace"
 )
 
 // recorder captures everything a daemon forwards.
 type recorder struct {
 	samples []Sample
 	updates []Update
+	shards  []trace.Shard
 }
 
 func (r *recorder) Samples(batch []Sample) error {
@@ -23,6 +25,11 @@ func (r *recorder) Samples(batch []Sample) error {
 
 func (r *recorder) Update(u Update) error {
 	r.updates = append(r.updates, u)
+	return nil
+}
+
+func (r *recorder) BulkShard(sh trace.Shard) error {
+	r.shards = append(r.shards, sh)
 	return nil
 }
 

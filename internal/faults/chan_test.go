@@ -51,7 +51,7 @@ func TestParseChanErrors(t *testing.T) {
 	}
 }
 
-// bulkFE is a minimal Transport+BulkSink backend for FlakyTransport tests.
+// bulkFE is a minimal Transport backend for FlakyTransport tests.
 type bulkFE struct {
 	samples int
 	shards  int
@@ -66,7 +66,7 @@ func TestFlakyTransportChannelsFailIndependently(t *testing.T) {
 	ft := &faults.FlakyTransport{Inner: fe}
 
 	ft.InjectBulkFailures(2)
-	var bs daemon.BulkSink = ft
+	var bs daemon.Transport = ft
 	if err := bs.BulkShard(trace.Shard{}); err == nil {
 		t.Fatal("bulk send should fail while bulk budget remains")
 	}

@@ -49,9 +49,6 @@ type Injector struct {
 	log []string
 }
 
-// Plan returns the armed plan.
-func (in *Injector) Plan() *Plan { return in.plan }
-
 // Log returns the injected events in firing order, each stamped with the
 // virtual time it fired — the audit trail for reports and tests.
 func (in *Injector) Log() []string {
@@ -161,10 +158,11 @@ func (in *Injector) fire(now sim.Time, f Fault, plan *Plan, eng *sim.Engine, h H
 // the in-process path (the TCP transport has its own InjectFailures /
 // InjectBulkFailures). Each channel's failure state is a wire.Injection —
 // the same injection point the TCP and sync channels consult — so control
-// and bulk failures are counted separately, mirroring the wire transport's
-// two channels, and a plan can sever the trace stream while samples keep
-// flowing — or vice versa. While failures remain on a channel, every send
-// on it errors; the daemon's outbox (or bulk queue) absorbs the reports and
+// failures (samples, updates) and bulk failures (trace shards) are counted
+// separately, mirroring the wire transport's two channels, and a plan can
+// sever the trace stream while samples keep flowing — or vice versa. While
+// failures remain on a channel, every send on it errors; the daemon's
+// report outbox (control) or bulk queue (shards) absorbs the reports and
 // replays them once the flakiness is spent.
 type FlakyTransport struct {
 	Inner daemon.Transport
@@ -242,29 +240,11 @@ func (ft *FlakyTransport) Update(u daemon.Update) error {
 	return ft.Inner.Update(u)
 }
 
-// TraceShard implements daemon.TraceSink when the wrapped transport does;
-// injected control failures hit these shards exactly like samples and
-// updates (the legacy shared-path behaviour).
-func (ft *FlakyTransport) TraceShard(sh trace.Shard) error {
-	ts, ok := ft.Inner.(daemon.TraceSink)
-	if !ok {
-		return nil
-	}
-	if ft.fail() {
-		return fmt.Errorf("faults: injected transport failure")
-	}
-	return ts.TraceShard(sh)
-}
-
-// BulkShard implements daemon.BulkSink when the wrapped transport does;
-// injected bulk failures hit only this channel.
+// BulkShard implements daemon.Transport; injected bulk failures hit only
+// this channel.
 func (ft *FlakyTransport) BulkShard(sh trace.Shard) error {
-	bs, ok := ft.Inner.(daemon.BulkSink)
-	if !ok {
-		return nil
-	}
 	if ft.failBulk() {
 		return fmt.Errorf("faults: injected bulk transport failure")
 	}
-	return bs.BulkShard(sh)
+	return ft.Inner.BulkShard(sh)
 }

@@ -276,7 +276,7 @@ func (l *Listener) handle(conn net.Conn) {
 				l.fe.Update(*msg.Update)
 			}
 			if msg.Shard != nil {
-				l.fe.TraceShard(*msg.Shard)
+				l.fe.BulkShard(*msg.Shard)
 			}
 		}
 		if err := enc.Encode(true); err != nil { // ack
@@ -347,12 +347,6 @@ type TCPTransport struct {
 	// path deterministically. BulkFaultHook is its bulk-channel twin.
 	FaultHook     func(attempt int, msg *wireMsg) error
 	BulkFaultHook func(attempt int, msg *wireMsg) error
-}
-
-// DialTransport connects a daemon-side transport to a front-end listener
-// with default retry behaviour and no identity (legacy callers).
-func DialTransport(addr string) (*TCPTransport, error) {
-	return DialTransportRetry(addr, "", DefaultRetryConfig())
 }
 
 // DialTransportRetry connects a daemon-side transport with explicit identity
@@ -447,12 +441,8 @@ func (t *TCPTransport) Update(u daemon.Update) error {
 	return t.ctl.send(wireMsg{Update: &u}, &t.FaultHook)
 }
 
-// BulkShard implements daemon.BulkSink: trace shards ride their own
+// BulkShard implements daemon.Transport: trace shards ride their own
 // acknowledged, deduped, retrying stream — never the sampling path.
 func (t *TCPTransport) BulkShard(sh trace.Shard) error {
 	return t.bulkChan().send(wireMsg{Shard: &sh}, &t.BulkFaultHook)
 }
-
-// TraceShard implements daemon.TraceSink for legacy callers; it routes to
-// the bulk channel so shard bytes stay off the control stream either way.
-func (t *TCPTransport) TraceShard(sh trace.Shard) error { return t.BulkShard(sh) }

@@ -68,7 +68,7 @@ func (tl *Timeline) Dropped() int64 {
 }
 
 // OutboxLost returns the total spans that were drained from recorders but
-// evicted from a daemon's bounded outbox or bulk queue before delivery.
+// evicted from a daemon's bounded bulk queue before delivery.
 func (tl *Timeline) OutboxLost() int64 {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
@@ -103,7 +103,7 @@ func (tl *Timeline) Undelivered() int64 {
 }
 
 // Lost returns the total spans missing from the merged timeline for any
-// reason: ring eviction, outbox/bulk-queue eviction, or stranded
+// reason: ring eviction, bulk-queue eviction, or stranded
 // undelivered at exit.
 func (tl *Timeline) Lost() int64 {
 	return tl.Dropped() + tl.OutboxLost() + tl.Undelivered()

@@ -10,8 +10,9 @@
 // intervals, probe firings, and the happens-before edges that message
 // matching, flow-control credits, internal sync points, RMA epochs and
 // spawn create. Each node's daemon periodically drains its processes'
-// recorders into Shards and ships them through the existing resilient
-// outbox/transport path; the front end merges shards into one globally
+// recorders into Shards and ships them over the transport's dedicated bulk
+// channel (with its own bounded, replayed queue); the front end merges
+// shards into one globally
 // ordered Timeline. On top of the merged timeline sit the Chrome
 // trace-event/Perfetto and CSV exporters (export.go) and the critical-path
 // analyzer (critpath.go).
@@ -40,8 +41,7 @@ const (
 	// DaemonSample is an instant event on a daemon track: one sampling tick.
 	DaemonSample
 	// TransportEvent is an instant event on a daemon track: transport
-	// activity (a report buffered to the outbox, an outbox replay, a trace
-	// shard flushed).
+	// activity (a report-outbox replay after recovery).
 	TransportEvent
 	// EdgeEvent is a happens-before edge recorded on the *destination*
 	// process's track: Peer is the source process, Start the source-side
@@ -119,7 +119,7 @@ type Shard struct {
 	Dropped int64
 	// OutboxLost is the cumulative count of the track's spans that had been
 	// drained from the recorder but were then evicted from the daemon's
-	// bounded outbox/bulk queue before delivery. Like Dropped it is a
+	// bounded bulk queue before delivery. Like Dropped it is a
 	// monotone per-track counter; the timeline keeps the maximum seen.
 	OutboxLost int64
 }

@@ -163,8 +163,8 @@ func (t *Tracer) DaemonSample(daemon, node string, at sim.Time, n int) {
 	t.record(daemon, node, Span{Kind: DaemonSample, Name: "sample", Start: at, End: at, Tag: n})
 }
 
-// Transport records transport activity ("enqueue", "replay", "shard", ...)
-// on a daemon track.
+// Transport records transport activity (the daemon records "replay") on a
+// daemon track.
 func (t *Tracer) Transport(daemon, node, what string, at sim.Time) {
 	t.record(daemon, node, Span{Kind: TransportEvent, Name: what, Start: at, End: at})
 }

@@ -92,11 +92,3 @@ func (in *Injection) Check() error {
 	}
 	return nil
 }
-
-// Idle reports whether nothing is armed (the zero-cost fast path: callers
-// may skip Check entirely).
-func (in *Injection) Idle() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.drops == 0 && in.bwFail == 0 && in.lat == 0
-}

@@ -251,9 +251,6 @@ func (c *Conn) Sync(fn func()) {
 	fn()
 }
 
-// Config returns the channel's configuration.
-func (c *Conn) Config() Config { return c.cfg }
-
 // Close shuts the channel; subsequent Exchanges fail fast with ErrClosed.
 func (c *Conn) Close() error {
 	c.mu.Lock()
