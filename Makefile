@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt vet race verify bench experiments-golden replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire
+.PHONY: build test fmt vet race verify perfbench-check bench experiments-golden replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,13 @@ vet:
 race:
 	$(GO) test -race ./internal/wire ./internal/frontend ./internal/daemon ./internal/faults ./internal/trace ./internal/core ./internal/session ./internal/perfdb
 
-verify: build fmt vet test race replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
+verify: build fmt vet test race perfbench-check replay-golden perfdb-golden sync-golden wire-golden trend-golden experiments-golden
+
+# perfbench-check vets and tests the nested benchmark module (perfbench/,
+# its own go.mod), which the root `./...` patterns never reach — so a change
+# to a name the benchmark uses fails here rather than only in a benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Opt into the chaos sweep as part of verify with `make verify CHAOS=1`.
 ifeq ($(CHAOS),1)

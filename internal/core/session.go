@@ -46,10 +46,6 @@ type Options struct {
 	// UseTCP routes daemon traffic over a real localhost TCP socket with
 	// gob encoding instead of in-process calls.
 	UseTCP bool
-	// DiscoverTags enables the daemons' message-tag discovery
-	// instrumentation (on by default), which populates
-	// /SyncObject/Message/<comm>/<tag> resources.
-	DiscoverTags *bool
 	// Faults arms a fault-injection plan: heartbeats and the liveness
 	// monitor switch on, the network overlay is installed, and the plan's
 	// faults are scheduled. Nil (the default) leaves every fault hook cold —
@@ -154,12 +150,11 @@ func NewSession(opts Options) (*Session, error) {
 		nodeName := spec.Nodes[node].Name
 		var tr daemon.Transport = fe
 		if opts.UseTCP {
-			rcfg := frontend.DefaultRetryConfig()
+			rcfg := wire.DefaultConfig()
 			if plan != nil {
 				rcfg.Seed = plan.Seed + uint64(node) // per-daemon jitter streams
 			}
-			rcfg.Incarnation = 1
-			t, err := frontend.DialTransportRetry(s.listener.Addr(), daemon.NameFor(nodeName), rcfg)
+			t, err := frontend.DialTransport(s.listener.Addr(), daemon.NameFor(nodeName), 1, rcfg)
 			if err != nil {
 				s.Close()
 				return nil, err
@@ -188,9 +183,7 @@ func NewSession(opts Options) (*Session, error) {
 			d.EnableTracing(s.Tracer)
 		}
 	}
-	if opts.DiscoverTags == nil || *opts.DiscoverTags {
-		installTagDiscovery(s)
-	}
+	installTagDiscovery(s)
 	if plan != nil {
 		s.armFaults(plan)
 	}
@@ -312,10 +305,9 @@ func (s *Session) respawnDaemon(node string, incarnation int) (*daemon.Daemon, e
 
 	var tr daemon.Transport = s.FE
 	if s.listener != nil {
-		rcfg := frontend.DefaultRetryConfig()
+		rcfg := wire.DefaultConfig()
 		rcfg.Seed = s.plan.Seed + uint64(idx) + uint64(incarnation)<<16 // own jitter stream per incarnation
-		rcfg.Incarnation = uint64(incarnation)
-		t, err := frontend.DialTransportRetry(s.listener.Addr(), daemon.NameFor(node), rcfg)
+		t, err := frontend.DialTransport(s.listener.Addr(), daemon.NameFor(node), uint64(incarnation), rcfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: respawn dial: %w", err)
 		}

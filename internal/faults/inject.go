@@ -155,15 +155,16 @@ func (in *Injector) fire(now sim.Time, f Fault, plan *Plan, eng *sim.Engine, h H
 }
 
 // FlakyTransport wraps a daemon.Transport so the injector can fail sends on
-// the in-process path (the TCP transport has its own InjectFailures /
-// InjectBulkFailures). Each channel's failure state is a wire.Injection —
-// the same injection point the TCP and sync channels consult — so control
-// failures (samples, updates) and bulk failures (trace shards) are counted
-// separately, mirroring the wire transport's two channels, and a plan can
-// sever the trace stream while samples keep flowing — or vice versa. While
-// failures remain on a channel, every send on it errors; the daemon's
-// report outbox (control) or bulk queue (shards) absorbs the reports and
-// replays them once the flakiness is spent.
+// the in-process path, with the same InjectFailures / InjectBulkFailures
+// pair the TCP transport offers. Each channel's failure state is a
+// wire.Injection — the same injection point the TCP and sync channels
+// consult — so control failures (samples, updates) and bulk failures
+// (trace shards) are counted separately, mirroring the wire transport's
+// two channels, and a plan can sever the trace stream while samples keep
+// flowing — or vice versa. While failures remain on a channel, every send
+// on it errors; the daemon's report outbox (control) or bulk queue
+// (shards) absorbs the reports and replays them once the flakiness is
+// spent.
 type FlakyTransport struct {
 	Inner daemon.Transport
 

@@ -20,7 +20,7 @@ func TestBulkChannelCarriesShardsOffControlPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", testRetryConfig())
+	tr, err := DialTransport(l.Addr(), "paradynd@node0", 0, testWireConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBulkFaultsLeaveControlFlowing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", testRetryConfig())
+	tr, err := DialTransport(l.Addr(), "paradynd@node0", 0, testWireConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestControlFaultsLeaveBulkFlowing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", testRetryConfig())
+	tr, err := DialTransport(l.Addr(), "paradynd@node0", 0, testWireConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

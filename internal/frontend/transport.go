@@ -63,18 +63,6 @@ type wireMsg struct {
 	Shard   *trace.Shard
 }
 
-// RetryConfig tunes the daemon-side transport's robustness behaviour. It is
-// the wire plane's Config: equal seeds give identical retry schedules, and
-// the bulk channel derives its own jitter stream from the same seed.
-type RetryConfig = wire.Config
-
-// DefaultRetryConfig returns production-shaped retry behaviour.
-func DefaultRetryConfig() RetryConfig { return wire.DefaultConfig() }
-
-// TransportStats counts one channel's resilience activity — the wire
-// plane's uniform Stats block.
-type TransportStats = wire.Stats
-
 // Listener accepts daemon connections for a front end. Control and bulk
 // connections land on the same listening socket; frames declare their
 // channel, and dedupe state is kept per (daemon, channel) in a bounded
@@ -105,11 +93,6 @@ type Listener struct {
 	ctlShards    int64 // shard frames that arrived on the control channel (should stay 0)
 }
 
-// DefaultReadTimeout is the per-frame read deadline new listeners start
-// with — generous enough that an idle-but-healthy daemon is rarely cut,
-// tight enough that a wedged peer cannot hold a handler goroutine forever.
-const DefaultReadTimeout = wire.DefaultReadTimeout
-
 // Listen starts a TCP listener feeding the front end. Use addr "127.0.0.1:0"
 // to pick a free port; Addr reports the chosen address.
 func (fe *FrontEnd) Listen(addr string) (*Listener, error) {
@@ -120,7 +103,7 @@ func (fe *FrontEnd) Listen(addr string) (*Listener, error) {
 	l := &Listener{
 		fe: fe, ln: ln,
 		dedupe:      wire.NewDedupe(0),
-		readTimeout: DefaultReadTimeout,
+		readTimeout: wire.DefaultReadTimeout,
 	}
 	l.wg.Add(1)
 	go func() {
@@ -285,25 +268,23 @@ func (l *Listener) handle(conn net.Conn) {
 	}
 }
 
-// ErrTransportClosed is returned by sends on a Close()d transport.
-var ErrTransportClosed = wire.ErrClosed
-
 // tcpChannel is one independent acknowledged gob stream to the front end: a
 // wire.Conn plus the identity (daemon name, channel label, incarnation) it
-// stamps on every frame. The control and bulk channels of a TCPTransport
-// are two of these, locked separately inside their Conns so a slow bulk
-// send never blocks a sample send.
+// stamps on every frame and the channel's fault-injection point. The
+// control and bulk channels of a TCPTransport are two of these, locked
+// separately inside their Conns so a slow bulk send never blocks a sample
+// send.
 type tcpChannel struct {
 	label string
 	name  string
 	inc   uint64
 	conn  *wire.Conn
+	inj   *wire.Injection
 }
 
 // send delivers one frame on channel c through the wire plane's retrying
-// Exchange. hook points at the transport's fault-hook field for this
-// channel, read fresh each attempt so tests can clear it mid-sequence.
-func (c *tcpChannel) send(msg wireMsg, hook *func(attempt int, msg *wireMsg) error) error {
+// Exchange, consulting the channel's injection point before each attempt.
+func (c *tcpChannel) send(msg wireMsg) error {
 	var ack bool
 	return c.conn.Exchange(wire.Request{
 		Req: &msg,
@@ -313,13 +294,8 @@ func (c *tcpChannel) send(msg wireMsg, hook *func(attempt int, msg *wireMsg) err
 			msg.Inc = c.inc
 			msg.Seq = seq
 		},
-		Resp: &ack,
-		Fault: func(attempt int) error {
-			if fh := *hook; fh != nil {
-				return fh(attempt, &msg)
-			}
-			return nil
-		},
+		Resp:  &ack,
+		Fault: func(int) error { return c.inj.Check() },
 		Label: "frontend: send",
 	})
 }
@@ -333,36 +309,30 @@ func (c *tcpChannel) send(msg wireMsg, hook *func(attempt int, msg *wireMsg) err
 // is independent of trace volume.
 type TCPTransport struct {
 	addr string
-	name string
-	cfg  RetryConfig
+	cfg  wire.Config
 
 	ctl tcpChannel
 
 	bulkMu sync.Mutex // guards lazy creation of bulk
 	bulk   *tcpChannel
-
-	// FaultHook, when set, is consulted before each control-channel
-	// attempt; a non-nil return simulates a transport fault for that
-	// attempt. Used by the fault injector and tests to exercise the retry
-	// path deterministically. BulkFaultHook is its bulk-channel twin.
-	FaultHook     func(attempt int, msg *wireMsg) error
-	BulkFaultHook func(attempt int, msg *wireMsg) error
 }
 
-// DialTransportRetry connects a daemon-side transport with explicit identity
-// and retry configuration. name is the daemon identity used for reconnect
-// dedupe; empty disables dedupe (every frame applies). Only the control
-// channel is dialed here; the bulk channel comes up lazily on the first
-// trace shard. The control channel draws jitter from the seed unsalted; the
-// bulk channel salts it, so the two schedules are independent yet each
-// deterministic.
-func DialTransportRetry(addr, name string, cfg RetryConfig) (*TCPTransport, error) {
-	t := &TCPTransport{addr: addr, name: name, cfg: cfg}
+// DialTransport connects a daemon-side transport with explicit identity and
+// retry policy. name is the daemon identity used for reconnect dedupe;
+// empty disables dedupe (every frame applies). inc is the daemon
+// incarnation stamped on every frame so the listener can fence out
+// stragglers from dead incarnations; 0 sends legacy frames with pure-seq
+// dedupe. Only the control channel is dialed here; the bulk channel comes
+// up lazily on the first trace shard. The control channel draws jitter
+// from the seed unsalted; the bulk channel salts it, so the two schedules
+// are independent yet each deterministic.
+func DialTransport(addr, name string, inc uint64, cfg wire.Config) (*TCPTransport, error) {
+	t := &TCPTransport{addr: addr, cfg: cfg}
 	conn, err := wire.Dial(addr, cfg, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("frontend: dial: %w", err)
 	}
-	t.ctl = tcpChannel{label: ctlChannel, name: name, inc: cfg.Incarnation, conn: conn}
+	t.ctl = tcpChannel{label: ctlChannel, name: name, inc: inc, conn: conn, inj: wire.NewInjection(wire.ChanCtl)}
 	return t, nil
 }
 
@@ -373,8 +343,9 @@ func (t *TCPTransport) bulkChan() *tcpChannel {
 	defer t.bulkMu.Unlock()
 	if t.bulk == nil {
 		t.bulk = &tcpChannel{
-			label: bulkChannel, name: t.name, inc: t.cfg.Incarnation,
+			label: bulkChannel, name: t.ctl.name, inc: t.ctl.inc,
 			conn: wire.NewConn(t.addr, t.cfg, t.cfg.Seed^wire.SaltBulk),
+			inj:  wire.NewInjection(wire.ChanBulk),
 		}
 		t.bulk.conn.TryDial() // a failed dial retries inside send
 	}
@@ -396,53 +367,42 @@ func (t *TCPTransport) Close() error {
 }
 
 // Stats returns a snapshot of the control channel's resilience counters.
-func (t *TCPTransport) Stats() TransportStats { return t.ctl.conn.Stats() }
+func (t *TCPTransport) Stats() wire.Stats { return t.ctl.conn.Stats() }
 
 // BulkStats returns a snapshot of the bulk channel's resilience counters
 // (all zero if no shard was ever sent).
-func (t *TCPTransport) BulkStats() TransportStats {
+func (t *TCPTransport) BulkStats() wire.Stats {
 	t.bulkMu.Lock()
 	b := t.bulk
 	t.bulkMu.Unlock()
 	if b == nil {
-		return TransportStats{}
+		return wire.Stats{}
 	}
 	return b.conn.Stats()
 }
 
-// InjectFailures makes the next n control-channel attempts fail
+// InjectFailures adds n to the control channel's drop budget
 // (deterministic fault injection): each failed attempt consumes one count,
 // exercising timeout, retry and reconnect exactly as a flaky network
-// would. The hook swap happens under the channel's send lock so it can
-// never race an in-flight send reading the hook.
-func (t *TCPTransport) InjectFailures(n int) {
-	t.ctl.conn.Sync(func() { t.FaultHook = countdownHook(n) })
-}
+// would.
+func (t *TCPTransport) InjectFailures(n int) { t.ctl.inj.AddDrops(n) }
 
 // InjectBulkFailures is InjectFailures for the bulk channel: the next n
 // shard attempts fail while control traffic flows untouched.
-func (t *TCPTransport) InjectBulkFailures(n int) {
-	c := t.bulkChan()
-	c.conn.Sync(func() { t.BulkFaultHook = countdownHook(n) })
-}
-
-func countdownHook(n int) func(int, *wireMsg) error {
-	cd := wire.Countdown(n)
-	return func(attempt int, _ *wireMsg) error { return cd(attempt) }
-}
+func (t *TCPTransport) InjectBulkFailures(n int) { t.bulkChan().inj.AddDrops(n) }
 
 // Samples implements daemon.Transport.
 func (t *TCPTransport) Samples(batch []daemon.Sample) error {
-	return t.ctl.send(wireMsg{Samples: batch}, &t.FaultHook)
+	return t.ctl.send(wireMsg{Samples: batch})
 }
 
 // Update implements daemon.Transport.
 func (t *TCPTransport) Update(u daemon.Update) error {
-	return t.ctl.send(wireMsg{Update: &u}, &t.FaultHook)
+	return t.ctl.send(wireMsg{Update: &u})
 }
 
 // BulkShard implements daemon.Transport: trace shards ride their own
 // acknowledged, deduped, retrying stream — never the sampling path.
 func (t *TCPTransport) BulkShard(sh trace.Shard) error {
-	return t.bulkChan().send(wireMsg{Shard: &sh}, &t.BulkFaultHook)
+	return t.bulkChan().send(wireMsg{Shard: &sh})
 }

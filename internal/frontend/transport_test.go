@@ -14,9 +14,9 @@ import (
 	"pperf/internal/wire"
 )
 
-// testRetryConfig keeps wall-clock waits negligible in tests.
-func testRetryConfig() RetryConfig {
-	return RetryConfig{
+// testWireConfig keeps wall-clock waits negligible in tests.
+func testWireConfig() wire.Config {
+	return wire.Config{
 		MsgTimeout:  500 * time.Millisecond,
 		MaxAttempts: 4,
 		BaseBackoff: 100 * time.Microsecond,
@@ -33,7 +33,7 @@ func TestTCPTransportDeliversThroughInjectedFailures(t *testing.T) {
 	}
 	defer l.Close()
 
-	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", testRetryConfig())
+	tr, err := DialTransport(l.Addr(), "paradynd@node0", 0, testWireConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,25 +70,23 @@ func TestTCPTransportGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 	defer l.Close()
 
-	cfg := testRetryConfig()
+	cfg := testWireConfig()
 	cfg.MaxAttempts = 2
-	tr, err := DialTransportRetry(l.Addr(), "paradynd@node0", cfg)
+	tr, err := DialTransport(l.Addr(), "paradynd@node0", 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 
-	tr.InjectFailures(5)
+	tr.InjectFailures(cfg.MaxAttempts)
 	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err == nil {
 		t.Fatal("want error after exhausting attempts")
 	}
-	if st := tr.Stats(); st.Failures != 1 {
+	if st := tr.Stats(); st.Failures != 1 || st.InjectedDrops != int64(cfg.MaxAttempts) {
 		t.Errorf("stats = %+v", st)
 	}
-	// The failure budget drains; the next send succeeds again (outbox-replay
-	// scenario).
-	tr.InjectFailures(0)
-	tr.FaultHook = nil
+	// The exhausted frame spent the whole budget; the next send succeeds
+	// again (outbox-replay scenario).
 	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); err != nil {
 		t.Fatalf("send after recovery: %v", err)
 	}
@@ -142,9 +140,9 @@ func TestBackoffScheduleDeterministicBySeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		cfg := testRetryConfig()
+		cfg := testWireConfig()
 		cfg.Seed = seed
-		tr, err := DialTransportRetry(l.Addr(), "d", cfg)
+		tr, err := DialTransport(l.Addr(), "d", 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,10 +246,10 @@ func TestHalfClosedSocketSurfacesErrorNotHang(t *testing.T) {
 		}
 	}()
 
-	cfg := testRetryConfig()
+	cfg := testWireConfig()
 	cfg.MsgTimeout = 50 * time.Millisecond
 	cfg.MaxAttempts = 2
-	tr, err := DialTransportRetry(ln.Addr().String(), "d", cfg)
+	tr, err := DialTransport(ln.Addr().String(), "d", 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +274,12 @@ func TestSendOnClosedTransportFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	tr, err := DialTransportRetry(l.Addr(), "d", testRetryConfig())
+	tr, err := DialTransport(l.Addr(), "d", 0, testWireConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.Close()
-	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); !errors.Is(err, ErrTransportClosed) {
-		t.Errorf("err = %v, want ErrTransportClosed", err)
+	if err := tr.Update(daemon.Update{Kind: daemon.UpHeartbeat}); !errors.Is(err, wire.ErrClosed) {
+		t.Errorf("err = %v, want wire.ErrClosed", err)
 	}
 }

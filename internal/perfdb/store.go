@@ -292,10 +292,10 @@ type AddMeta struct {
 var createRunFile = os.Create
 
 // AddArchive stores a loaded session archive, re-encoding it in chunked
-// compacted form, and appends its index entry. The source archive may be
-// either format — this is how v1 `-record` files are ingested. The run ID
-// is consumed only once the archive is safely on disk: a failed add
-// followed by a successful one leaves no hole in the ID sequence.
+// compacted form, and appends its index entry — this is how `-record`
+// files, read with LoadArchive, are ingested. The run ID is consumed only
+// once the archive is safely on disk: a failed add followed by a
+// successful one leaves no hole in the ID sequence.
 func (st *Store) AddArchive(a *session.Archive, am AddMeta) (RunMeta, error) {
 	var m RunMeta
 	err := st.withLock(func() error {

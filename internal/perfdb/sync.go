@@ -119,21 +119,14 @@ type syncResp struct {
 	Warning string    // opPushEnd: label collision note etc.
 }
 
-// SyncConfig tunes the client side of Push/Pull. The retry knobs mirror
-// wire.Config: equal seeds give identical retry schedules.
+// SyncConfig tunes the client side of Push/Pull. The embedded wire.Config
+// is the retry policy: equal seeds give identical retry schedules, and the
+// seed also drives the degrade-link failure draw when no plan seed
+// overrides it.
 type SyncConfig struct {
-	// MsgTimeout is the wall-clock deadline for one frame exchange.
-	MsgTimeout time.Duration
-	// MaxAttempts bounds tries per frame (first send included).
-	MaxAttempts int
-	// BaseBackoff/MaxBackoff bound the exponential delay between
-	// attempts.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Seed drives the jitter RNG (and the degrade-link failure draw when
-	// no plan seed overrides it).
-	Seed uint64
-	// ChunkBytes is the transfer granularity (0 = DefaultSyncChunkBytes).
+	wire.Config
+	// ChunkBytes is the transfer granularity (0 = DefaultSyncChunkBytes;
+	// at most 1 GiB).
 	ChunkBytes int
 	// Faults optionally shapes sync traffic from a fault plan:
 	// `drop-transport NAME n=K chan=sync` fails the next K frame sends,
@@ -150,19 +143,8 @@ type SyncConfig struct {
 
 // DefaultSyncConfig returns production-shaped sync behaviour.
 func DefaultSyncConfig() SyncConfig {
-	return SyncConfig{
-		MsgTimeout:  2 * time.Second,
-		MaxAttempts: 5,
-		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  250 * time.Millisecond,
-		Seed:        1,
-		ChunkBytes:  DefaultSyncChunkBytes,
-	}
+	return SyncConfig{Config: wire.DefaultConfig(), ChunkBytes: DefaultSyncChunkBytes}
 }
-
-// SyncStats counts one sync session's resilience activity — the wire
-// plane's uniform Stats block.
-type SyncStats = wire.Stats
 
 // syncClient is one retrying, reconnecting frame channel to a sync server:
 // a wire.Conn plus the sync channel's fault-injection point.
@@ -180,6 +162,9 @@ func dialSync(addr string, cfg SyncConfig) (*syncClient, error) {
 	if cfg.ChunkBytes <= 0 {
 		cfg.ChunkBytes = DefaultSyncChunkBytes
 	}
+	if cfg.ChunkBytes > maxChunkPayload {
+		return nil, fmt.Errorf("perfdb sync: chunk size %d exceeds the %d-byte frame limit", cfg.ChunkBytes, maxChunkPayload)
+	}
 	if cfg.MsgTimeout <= 0 {
 		cfg.MsgTimeout = 2 * time.Second
 	}
@@ -190,14 +175,7 @@ func dialSync(addr string, cfg SyncConfig) (*syncClient, error) {
 	c := &syncClient{cfg: cfg, inj: wire.NewInjection(wire.ChanSync)}
 	c.inj.SeedBW(seed ^ wire.SaltSync ^ wire.SaltBW)
 	c.armFaults(cfg.Faults)
-	wcfg := wire.Config{
-		MsgTimeout:  cfg.MsgTimeout,
-		MaxAttempts: cfg.MaxAttempts,
-		BaseBackoff: cfg.BaseBackoff,
-		MaxBackoff:  cfg.MaxBackoff,
-		Seed:        seed,
-	}
-	conn, err := wire.Dial(addr, wcfg, seed^wire.SaltSync)
+	conn, err := wire.Dial(addr, cfg.Config, seed^wire.SaltSync)
 	if err != nil {
 		return nil, fmt.Errorf("perfdb sync: dial %s: %w", addr, err)
 	}
@@ -237,7 +215,7 @@ func (c *syncClient) armFaults(p *faults.Plan) {
 func (c *syncClient) close() { c.conn.Close() }
 
 // stats snapshots the client's wire counters.
-func (c *syncClient) stats() SyncStats { return c.conn.Stats() }
+func (c *syncClient) stats() wire.Stats { return c.conn.Stats() }
 
 // faultCheck consults the test hook, then the shared injection point,
 // before one attempt.
@@ -280,7 +258,7 @@ type PushResult struct {
 	ResumedAt int64  // byte offset the transfer resumed from (0 = fresh)
 	Bytes     int64  // payload bytes actually transferred this invocation
 	Warning   string // peer-side note (label collision, dedupe)
-	Stats     SyncStats
+	Stats     wire.Stats
 }
 
 // Push streams one stored run (ID or label) to the store served at addr.
@@ -320,7 +298,7 @@ func Push(st *Store, runID, addr string, cfg SyncConfig) (*PushResult, error) {
 	}
 	defer f.Close()
 	offset := begin.Offset
-	buf := make([]byte, c.cfg.ChunkBytes)
+	buf := make([]byte, min(int64(c.cfg.ChunkBytes), size))
 	// The server's response carries its authoritative byte count; the
 	// loop converges even across replays and reconnect rewinds. The guard
 	// bounds pathological no-progress exchanges.
@@ -379,7 +357,7 @@ type PullResult struct {
 // is CRC-checked per chunk in transit, verified whole against its content
 // hash, parsed for structural validity, and only then ingested under a
 // fresh local ID.
-func Pull(st *Store, addr, runID string, cfg SyncConfig) ([]PullResult, *SyncStats, error) {
+func Pull(st *Store, addr, runID string, cfg SyncConfig) ([]PullResult, *wire.Stats, error) {
 	if err := st.EnsureHashes(); err != nil {
 		return nil, nil, err
 	}
@@ -388,7 +366,7 @@ func Pull(st *Store, addr, runID string, cfg SyncConfig) ([]PullResult, *SyncSta
 		return nil, nil, err
 	}
 	defer c.close()
-	fail := func(results []PullResult, err error) ([]PullResult, *SyncStats, error) {
+	fail := func(results []PullResult, err error) ([]PullResult, *wire.Stats, error) {
 		s := c.stats()
 		return results, &s, err
 	}

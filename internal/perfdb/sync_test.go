@@ -284,6 +284,24 @@ func TestSyncPullResume(t *testing.T) {
 	}
 }
 
+// TestSyncHugeChunkBytesRejected: a chunk size past the frame limit is a
+// configuration error on both push and pull, never an allocation panic.
+func TestSyncHugeChunkBytesRejected(t *testing.T) {
+	src, m := storeWithRun(t, 4, 50, "base")
+	peer, srv := serveStore(t)
+	cfg := testSyncConfig()
+	cfg.ChunkBytes = 1 << 62
+	if _, err := Push(src, m.ID, srv.Addr(), cfg); err == nil {
+		t.Error("push with a 2^62-byte chunk size succeeded")
+	}
+	if _, _, err := Pull(src, srv.Addr(), "", cfg); err == nil {
+		t.Error("pull with a 2^62-byte chunk size succeeded")
+	}
+	if runs := peer.Runs(); len(runs) != 0 {
+		t.Errorf("peer holds %d runs after rejected push, want 0", len(runs))
+	}
+}
+
 // TestSyncPullLabelCollision: a pulled run whose label is already taken
 // locally lands unlabeled with a warning — never an error, never a
 // clobbered local run.

@@ -11,10 +11,12 @@ import (
 
 // Injection is the wire plane's single fault-injection point: every
 // channel (ctl, bulk, sync — in-process or TCP) consults one of these
-// before an attempt, and the fault plan's drop-transport / degrade-link
-// clauses arm it (see faults.Plan.ArmWire). Three independent copies of
-// this state machine used to live in the transport, the bulk channel and
-// the sync client.
+// before an attempt. The fault plan's drop-transport clauses arm the ctl
+// and bulk channels through the session's DropTransport hook
+// (TCPTransport.InjectFailures/InjectBulkFailures, or the in-process
+// faults.FlakyTransport twins); the sync client arms its own from
+// SyncConfig.Faults, degrade-link clauses included. Budgets add up: each
+// clause adds its n to whatever is still pending.
 type Injection struct {
 	Chan string // channel label for error messages ("ctl", "bulk", "sync")
 

@@ -61,7 +61,7 @@ const (
 // archive chunk format): CRC32 with the IEEE polynomial.
 func Checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
-// Config tunes a Conn's robustness behaviour.
+// Config is the retry policy of a Conn.
 type Config struct {
 	// MsgTimeout is the wall-clock deadline for one attempt (encode + reply).
 	MsgTimeout time.Duration
@@ -74,13 +74,9 @@ type Config struct {
 	MaxBackoff  time.Duration
 	// Seed drives the jitter RNG; equal seeds give identical retry
 	// schedules (deterministic retries). Channels salt it (SaltBulk,
-	// SaltSync) to decorrelate their streams.
+	// SaltSync) to decorrelate their streams and hand the salted seed to
+	// NewConn/Dial.
 	Seed uint64
-	// Incarnation is stamped on every frame by senders that participate in
-	// incarnation fencing, so a receiver can fence out stragglers from dead
-	// sender incarnations. 0 (the default) sends legacy frames with
-	// pure-seq dedupe.
-	Incarnation uint64
 }
 
 // DefaultConfig returns production-shaped retry behaviour.
@@ -170,21 +166,6 @@ func Backoff(base, max time.Duration, n int, rng *sim.RNG) time.Duration {
 // ErrClosed is returned by sends on a Close()d Conn.
 var ErrClosed = errors.New("wire: transport closed")
 
-// Countdown returns a fault hook failing the next n attempts — the
-// deterministic injection used by drop-transport faults on the ctl and bulk
-// channels. Each failed attempt consumes one count, exercising timeout,
-// retry and reconnect exactly as a flaky network would.
-func Countdown(n int) func(attempt int) error {
-	remaining := n
-	return func(int) error {
-		if remaining <= 0 {
-			return nil
-		}
-		remaining--
-		return fmt.Errorf("injected transport fault (%d more)", remaining)
-	}
-}
-
 // A Conn is one retrying, reconnecting, acknowledged gob frame channel to a
 // peer — its own connection, sequence space, jitter RNG and stats. Both the
 // report transport's channels and the sync client are Conns under thin
@@ -241,15 +222,6 @@ func (c *Conn) TryDial() {
 
 // SetPoisonOnFault selects the injected-fault discipline (see the field).
 func (c *Conn) SetPoisonOnFault(on bool) { c.poisonOnFault = on }
-
-// Sync runs fn while holding the channel's send lock. It is the
-// hook-replacement discipline: a fault hook swapped inside Sync can never
-// race an in-flight Exchange reading the hook between attempts.
-func (c *Conn) Sync(fn func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fn()
-}
 
 // Close shuts the channel; subsequent Exchanges fail fast with ErrClosed.
 func (c *Conn) Close() error {
@@ -328,8 +300,9 @@ type Request struct {
 	Resp any
 	// Fault, when non-nil, is consulted before each attempt; a non-nil
 	// return fails that attempt as an injected transport fault and is
-	// counted in Stats.InjectedDrops. It is re-evaluated every attempt so
-	// callers can clear their hooks mid-sequence.
+	// counted in Stats.InjectedDrops. Channels pass their Injection's
+	// Check here, so a drop budget armed mid-sequence applies from the
+	// next attempt on.
 	Fault func(attempt int) error
 	// Label prefixes the exhaustion error, e.g. "frontend: send" or
 	// "perfdb sync: push-chunk".

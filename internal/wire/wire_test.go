@@ -249,19 +249,6 @@ func TestInjectionDropsThenDegrade(t *testing.T) {
 	}
 }
 
-func TestCountdownMessage(t *testing.T) {
-	cd := Countdown(2)
-	if err := cd(1); err == nil || err.Error() != "injected transport fault (1 more)" {
-		t.Errorf("first countdown error = %v", err)
-	}
-	if err := cd(2); err == nil || err.Error() != "injected transport fault (0 more)" {
-		t.Errorf("second countdown error = %v", err)
-	}
-	if err := cd(3); err != nil {
-		t.Errorf("spent countdown still fails: %v", err)
-	}
-}
-
 func TestStatsSummary(t *testing.T) {
 	s := Stats{Frames: 12, Retries: 3, Duplicates: 1, StaleFrames: 0}
 	if got := s.Summary(); got != "frames=12 retries=3 dups=1 stale=0" {
