@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt vet race verify perfbench-check bench experiments-golden replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire
+.PHONY: build test fmt vet race verify perfbench-check bench experiments-golden replay-golden perfdb-golden sync-golden wire-golden trend-golden chaos fuzz fuzz-perfdb fuzz-wire fuzz-mdl
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,14 @@ fuzz-wire:
 fuzz-perfdb:
 	$(GO) test -fuzz=FuzzChunkDecoder -fuzztime=30s ./internal/perfdb
 	$(GO) test -fuzz=FuzzUnpackSamples -fuzztime=30s ./internal/perfdb
+
+# fuzz-mdl holds the two user-text parsers total: any MDL source compiles
+# to a library whose probes fire without panicking, or is an error; any PCL
+# file parses or is an error. Minimization is capped because the MDL corpus
+# seeds the whole standard library, which takes minutes to shrink.
+fuzz-mdl:
+	$(GO) test -fuzz=FuzzMDLCompile -fuzztime=30s -fuzzminimizetime=2s ./internal/mdl
+	$(GO) test -fuzz=FuzzPCLParse -fuzztime=30s ./internal/pcl
 
 bench:
 	$(GO) test -bench=. -benchmem

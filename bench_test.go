@@ -391,6 +391,75 @@ func (fixedClock) Now() sim.Time              { return 0 }
 func (fixedClock) CPUTime() sim.Duration      { return 0 }
 func (fixedClock) AddOverhead(d sim.Duration) {}
 
+// tickClock advances one microsecond per reading, so wall timers measure.
+type tickClock struct{ now sim.Time }
+
+func (c *tickClock) Now() sim.Time {
+	c.now = c.now.Add(sim.Microsecond)
+	return c.now
+}
+func (c *tickClock) CPUTime() sim.Duration    { return 0 }
+func (c *tickClock) AddOverhead(sim.Duration) {}
+
+// clockTarget is an mdl.Target over one bare process.
+type clockTarget struct {
+	p   *probe.Process
+	clk *tickClock
+}
+
+func (t clockTarget) Probes() *probe.Process            { return t.p }
+func (t clockTarget) FunctionsOfModule(string) []string { return nil }
+func (t clockTarget) WallNow() sim.Time                 { return t.clk.now }
+func (t clockTarget) CPUNow() sim.Duration              { return 0 }
+func (t clockTarget) SystemNow() sim.Duration           { return 0 }
+
+// mdlDispatch instruments a bare process with a live sync_wait_inclusive
+// instance on /SyncObject/Message/comm-0/tag-7: the Message category
+// predicate, the communicator and tag constraint snippets, and the
+// metric's wall timer all run on every MPI_Send entry and return. It
+// returns the call's entry-and-return, with the arguments of a matching
+// MPI_Send, and the instance's accumulator.
+func mdlDispatch(tb testing.TB) (call func(), acc metric.Accumulator, clk *tickClock) {
+	clk = &tickClock{}
+	tgt := clockTarget{p: probe.NewProcess("bench", clk), clk: clk}
+	in, err := mdl.StdLib().Metric("sync_wait_inclusive").Instantiate(tgt,
+		resource.WholeProgram().WithSync("/SyncObject/Message/comm-0/tag-7"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	send := &probe.Function{Name: "MPI_Send", Module: "libmpi"}
+	args := []any{nil, 4, mpi.Int, 1, 7, new(mpi.Comm)} // (buf, count, type, dest, tag, comm)
+	return func() {
+		tgt.p.Enter(send, args...)
+		tgt.p.Leave(send, args...)
+	}, in.Acc, clk
+}
+
+// BenchmarkProbeDispatchMDL measures one instrumented MPI_Send (entry and
+// return) under compiled MDL: the probe layer plus every snippet the
+// Performance Consultant's tag-level message refinement inserts.
+func BenchmarkProbeDispatchMDL(b *testing.B) {
+	call, _, _ := mdlDispatch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call()
+	}
+}
+
+// TestProbeDispatchMDLAllocFree pins the probe hot path under compiled MDL
+// at zero heap allocations per Enter/Leave, and checks the constraints
+// matched, so the timer really ran.
+func TestProbeDispatchMDLAllocFree(t *testing.T) {
+	call, acc, clk := mdlDispatch(t)
+	if allocs := testing.AllocsPerRun(1000, call); allocs != 0 {
+		t.Errorf("Enter/Leave under MDL allocates %v objects per call, want 0", allocs)
+	}
+	if v := acc.Sample(clk.now, 0); v <= 0 {
+		t.Errorf("sync_wait_inclusive = %v after matching sends, want > 0", v)
+	}
+}
+
 // BenchmarkMDLCompile measures compiling the full standard library.
 func BenchmarkMDLCompile(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -19,21 +19,21 @@ const maxTagsPerComm = 32
 // Consultant refine a message-passing bottleneck down to the tag, as in
 // Figs 3 and 9.
 func installTagDiscovery(s *Session) {
-	seen := map[string]int{} // comm path → #tags discovered
-	reported := map[string]bool{}
+	seen := map[int]int{}         // comm id → #tags discovered
+	reported := map[[2]int]bool{} // (comm id, tag) pairs reported
 	report := func(c *mpi.Comm, tag int) {
 		if c == nil || tag < 0 {
 			return
 		}
-		commPath := fmt.Sprintf("/SyncObject/Message/comm-%d", c.ID())
-		full := fmt.Sprintf("%s/tag-%d", commPath, tag)
-		if reported[full] || seen[commPath] >= maxTagsPerComm {
+		id := c.ID()
+		if reported[[2]int{id, tag}] || seen[id] >= maxTagsPerComm {
 			return
 		}
-		reported[full] = true
-		seen[commPath]++
+		reported[[2]int{id, tag}] = true
+		seen[id]++
 		s.FE.Update(daemon.Update{
-			Kind: daemon.UpAddResource, Time: s.Eng.Now(), Path: full,
+			Kind: daemon.UpAddResource, Time: s.Eng.Now(),
+			Path: fmt.Sprintf("/SyncObject/Message/comm-%d/tag-%d", id, tag),
 		})
 	}
 	asComm := func(v any) *mpi.Comm {

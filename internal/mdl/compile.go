@@ -29,7 +29,7 @@ type Target interface {
 // and metrics, ready to instantiate on processes.
 type Library struct {
 	sets        map[string][]string
-	constraints map[string]*ConstraintDecl
+	constraints map[string]*compiledConstraint
 	metrics     map[string]*CompiledMetric // keyed by display name
 	order       []string
 }
@@ -43,12 +43,26 @@ func CompileSource(src string) (*Library, error) {
 	return Compile(f)
 }
 
+// compiledConstraint is a constraint declaration with its snippets
+// compiled against its own flag counter.
+type compiledConstraint struct {
+	decl     *ConstraintDecl
+	foreachs []compiledForeach
+}
+
+// compiledForeach is a foreach block with its probe specs compiled.
+type compiledForeach struct {
+	set      string
+	snippets []*snippet
+}
+
 // Compile builds a Library from a parsed file, checking set and constraint
-// references.
+// references and compiling every snippet: an unknown counter, timer, call
+// or builtin is an error here, never at probe-fire time.
 func Compile(f *File) (*Library, error) {
 	lib := &Library{
 		sets:        map[string][]string{},
-		constraints: map[string]*ConstraintDecl{},
+		constraints: map[string]*compiledConstraint{},
 		metrics:     map[string]*CompiledMetric{},
 	}
 	for _, rl := range f.ResourceLists {
@@ -66,7 +80,12 @@ func Compile(f *File) (*Library, error) {
 				return nil, err
 			}
 		}
-		lib.constraints[c.Name] = c
+		sc := &scope{counters: map[string]int{c.Name: 0}}
+		fes, err := sc.foreachs(c.Foreachs)
+		if err != nil {
+			return nil, err
+		}
+		lib.constraints[c.Name] = &compiledConstraint{decl: c, foreachs: fes}
 	}
 	for _, m := range f.Metrics {
 		if m.DisplayName == "" {
@@ -87,7 +106,10 @@ func Compile(f *File) (*Library, error) {
 				}
 			}
 		}
-		cm := &CompiledMetric{lib: lib, decl: m, def: defFromDecl(m)}
+		cm, err := compileMetric(lib, m)
+		if err != nil {
+			return nil, err
+		}
 		lib.metrics[m.DisplayName] = cm
 		lib.order = append(lib.order, m.DisplayName)
 	}
@@ -140,8 +162,9 @@ func (lib *Library) MergeFrom(other *Library) error {
 		if _, dup := lib.metrics[name]; dup {
 			return fmt.Errorf("mdl: duplicate metric %s", name)
 		}
-		cm := other.metrics[name]
-		lib.metrics[name] = &CompiledMetric{lib: lib, decl: cm.decl, def: cm.def}
+		cm := *other.metrics[name]
+		cm.lib = lib
+		lib.metrics[name] = &cm
 		lib.order = append(lib.order, name)
 	}
 	return nil
@@ -173,11 +196,61 @@ func defFromDecl(m *MetricDecl) *metric.Def {
 	return d
 }
 
+// baseKind is a metric's primary accumulator.
+type baseKind int
+
+const (
+	baseCounter baseKind = iota
+	baseWallTimer
+	baseProcessTimer
+	baseCPUClock
+	baseWallClock
+	baseSysClock
+)
+
+var baseKinds = map[string]baseKind{
+	"counter": baseCounter, "walltimer": baseWallTimer, "processtimer": baseProcessTimer,
+	"cpuclock": baseCPUClock, "wallclock": baseWallClock, "sysclock": baseSysClock,
+}
+
 // CompiledMetric is an instantiable metric.
 type CompiledMetric struct {
-	lib  *Library
-	decl *MetricDecl
-	def  *metric.Def
+	lib      *Library
+	decl     *MetricDecl
+	def      *metric.Def
+	base     baseKind
+	counters int // frame counter slots: the counter metric's own, then its auxiliaries
+	foreachs []compiledForeach
+}
+
+// compileMetric resolves the metric's names: its id (as a counter or timer,
+// by base kind) and its auxiliary counters, then compiles its snippets.
+func compileMetric(lib *Library, m *MetricDecl) (*CompiledMetric, error) {
+	base, ok := baseKinds[strings.ToLower(m.BaseKind)]
+	if !ok {
+		return nil, fmt.Errorf("mdl:%d: metric %s: unknown base kind %q", m.Line, m.ID, m.BaseKind)
+	}
+	sc := &scope{counters: map[string]int{}}
+	switch base {
+	case baseCounter:
+		sc.counters[m.ID] = 0
+	case baseWallTimer:
+		sc.wall = m.ID
+	case baseProcessTimer:
+		sc.proc = m.ID
+	}
+	for _, cn := range m.Counters {
+		if _, dup := sc.counters[cn]; dup {
+			return nil, fmt.Errorf("mdl:%d: metric %s: duplicate counter %s", m.Line, m.ID, cn)
+		}
+		sc.counters[cn] = len(sc.counters)
+	}
+	fes, err := sc.foreachs(m.Foreachs)
+	if err != nil {
+		return nil, err
+	}
+	return &CompiledMetric{lib: lib, decl: m, def: defFromDecl(m), base: base,
+		counters: len(sc.counters), foreachs: fes}, nil
 }
 
 // Def returns the metric's metadata.
@@ -193,8 +266,7 @@ type Instance struct {
 	// for newly discovered functions of this module (module-level foci see
 	// functions that have not executed yet).
 	moduleWatch string
-	extendSpecs []*ProbeSpec
-	env         *env
+	extend      []boundProbe
 }
 
 // Remove deletes the instance's instrumentation from the process —
@@ -213,48 +285,43 @@ func (in *Instance) ModuleWatch() string { return in.moduleWatch }
 // ExtendFunction instruments a newly discovered function of the watched
 // module.
 func (in *Instance) ExtendFunction(fname string) {
-	for _, ps := range in.extendSpecs {
-		in.probeIDs = append(in.probeIDs, in.insertSpec(fname, ps))
+	in.insert(fname, in.extend)
+}
+
+// insert instruments one function with bound probes, in order.
+func (in *Instance) insert(fname string, bps []boundProbe) {
+	for _, bp := range bps {
+		in.probeIDs = append(in.probeIDs, in.target.Probes().Insert(fname, bp.where, bp.order, bp.h))
 	}
 }
 
-func (in *Instance) insertSpec(fname string, ps *ProbeSpec) probe.ID {
-	h := in.env.handler(ps)
-	return in.target.Probes().Insert(fname, ps.Where, ps.Order, h)
-}
-
-// Instantiate compiles the metric for one focus on one process: allocates
-// its counters/timers, instantiates the applicable constraints, and inserts
-// all probes. The returned instance is live immediately.
+// Instantiate binds the metric to one focus on one process: allocates its
+// counters/timers, instantiates the applicable constraints, and inserts all
+// probes, one handler per probe spec. The returned instance is live
+// immediately.
 func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, error) {
-	e := newEnv(t)
-	in := &Instance{target: t, env: e}
+	fr := &frame{counters: make([]*metric.Counter, cm.counters)}
+	for i := range fr.counters {
+		fr.counters[i] = &metric.Counter{}
+	}
+	in := &Instance{target: t}
 
 	// Primary accumulator named by the metric id.
-	switch strings.ToLower(cm.decl.BaseKind) {
-	case "counter":
-		c := &metric.Counter{}
-		e.counters[cm.decl.ID] = c
-		in.Acc = c
-	case "walltimer":
-		w := &metric.WallTimer{}
-		e.wallTimers[cm.decl.ID] = w
-		in.Acc = w
-	case "processtimer":
-		p := &metric.ProcessTimer{}
-		e.procTimers[cm.decl.ID] = p
-		in.Acc = p
-	case "cpuclock":
+	switch cm.base {
+	case baseCounter:
+		in.Acc = fr.counters[0]
+	case baseWallTimer:
+		fr.wall = &metric.WallTimer{}
+		in.Acc = fr.wall
+	case baseProcessTimer:
+		fr.proc = &metric.ProcessTimer{}
+		in.Acc = fr.proc
+	case baseCPUClock:
 		in.Acc = funcAcc(func() float64 { return t.CPUNow().Seconds() })
-	case "wallclock":
+	case baseWallClock:
 		in.Acc = funcAcc(func() float64 { return t.WallNow().Seconds() })
-	case "sysclock":
+	case baseSysClock:
 		in.Acc = funcAcc(func() float64 { return t.SystemNow().Seconds() })
-	default:
-		return nil, fmt.Errorf("mdl: metric %s: unknown base kind %q", cm.decl.ID, cm.decl.BaseKind)
-	}
-	for _, cn := range cm.decl.Counters {
-		e.counters[cn] = &metric.Counter{}
 	}
 
 	// Code-hierarchy constraints (native): restrict constrained statements
@@ -266,31 +333,27 @@ func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, er
 			if !cm.hasConstraint("procedureConstraint") {
 				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a procedure", cm.def.Name)
 			}
-			e.preds = append(e.preds, func(ev *probe.Event) bool { return ev.Proc.InFunction(fn) })
+			fr.preds = append(fr.preds, func(ev *probe.Event) bool { return ev.Proc.InFunction(fn) })
 		} else if mod := f.CodeModule(); mod != "" {
 			if !cm.hasConstraint("moduleConstraint") {
 				return nil, fmt.Errorf("mdl: metric %s cannot be constrained to a module", cm.def.Name)
 			}
-			e.preds = append(e.preds, func(ev *probe.Event) bool { return inModule(ev.Proc, mod) })
+			fr.preds = append(fr.preds, func(ev *probe.Event) bool { return inModule(ev.Proc, mod) })
 		}
 	}
 
 	// SyncObject-hierarchy constraints.
-	if err := cm.applySyncConstraints(e, in, f); err != nil {
+	if err := cm.applySyncConstraints(fr, in, f); err != nil {
 		return nil, err
 	}
 
 	// Base instrumentation.
-	for _, fe := range cm.decl.Foreachs {
-		fns, watch, err := cm.resolveSet(t, fe.SetName, f)
+	for _, fe := range cm.foreachs {
+		fns, watch, err := cm.resolveSet(t, fe.set, f)
 		if err != nil {
 			return nil, err
 		}
-		if watch != "" {
-			in.moduleWatch = watch
-			in.extendSpecs = append(in.extendSpecs, fe.Probes...)
-		}
-		if fe.SetName == "focusCode" && len(fns) == 0 && watch == "" {
+		if fe.set == "focusCode" && len(fns) == 0 && watch == "" {
 			// Whole-program Code focus on a focusCode-based timer metric:
 			// fall back to reading the process clock directly.
 			switch in.Acc.(type) {
@@ -301,10 +364,13 @@ func (cm *CompiledMetric) Instantiate(t Target, f resource.Focus) (*Instance, er
 			}
 			continue
 		}
+		bps := bindAll(fe.snippets, fr)
+		if watch != "" {
+			in.moduleWatch = watch
+			in.extend = append(in.extend, bps...)
+		}
 		for _, fname := range fns {
-			for _, ps := range fe.Probes {
-				in.probeIDs = append(in.probeIDs, in.insertSpec(fname, ps))
-			}
+			in.insert(fname, bps)
 		}
 	}
 	return in, nil
@@ -347,7 +413,7 @@ func (cm *CompiledMetric) hasConstraint(name string) bool {
 
 // applySyncConstraints instantiates the constraints implied by the focus's
 // SyncObject selection.
-func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.Focus) error {
+func (cm *CompiledMetric) applySyncConstraints(fr *frame, in *Instance, f resource.Focus) error {
 	parts := f.SyncParts()
 	if len(parts) == 0 {
 		return nil
@@ -358,7 +424,7 @@ func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.
 	if !ok {
 		return fmt.Errorf("mdl: unknown SyncObject category %q", category)
 	}
-	e.preds = append(e.preds, func(ev *probe.Event) bool { return inAnyFunction(ev.Proc, catFns) })
+	fr.preds = append(fr.preds, func(ev *probe.Event) bool { return inAnyFunction(ev.Proc, catFns) })
 	if len(rest) == 0 {
 		return nil
 	}
@@ -366,12 +432,12 @@ func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.
 	basePath := "/SyncObject/" + category
 	bound := 0
 	for _, cn := range cm.decl.Constraints {
-		cd := cm.lib.constraints[cn]
-		if cd == nil || cd.Path != basePath {
+		cc := cm.lib.constraints[cn]
+		if cc == nil || cc.decl.Path != basePath {
 			continue
 		}
 		var args []string
-		if cd.Deep {
+		if cc.decl.Deep {
 			if len(rest) < 2 {
 				continue // e.g. tag constraint with a comm-only focus
 			}
@@ -379,9 +445,7 @@ func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.
 		} else {
 			args = rest[:1]
 		}
-		if err := cm.instantiateConstraint(e, in, cd, args); err != nil {
-			return err
-		}
+		cm.instantiateConstraint(fr, in, cc, args)
 		bound++
 	}
 	if bound == 0 {
@@ -392,21 +456,16 @@ func (cm *CompiledMetric) applySyncConstraints(e *env, in *Instance, f resource.
 
 // instantiateConstraint allocates the constraint's flag counter, binds its
 // $constraint arguments, and inserts its probes.
-func (cm *CompiledMetric) instantiateConstraint(e *env, in *Instance, cd *ConstraintDecl, args []string) error {
+func (cm *CompiledMetric) instantiateConstraint(fr *frame, in *Instance, cc *compiledConstraint, args []string) {
 	flag := &metric.Counter{}
-	e.counters[cd.Name] = flag
-	e.flags = append(e.flags, flag)
-	cenv := e.scoped(args)
-	for _, fe := range cd.Foreachs {
-		fns := cm.lib.sets[fe.SetName]
-		for _, fname := range fns {
-			for _, ps := range fe.Probes {
-				h := cenv.handler(ps)
-				in.probeIDs = append(in.probeIDs, in.target.Probes().Insert(fname, ps.Where, ps.Order, h))
-			}
+	fr.flags = append(fr.flags, flag)
+	cfr := fr.scoped(flag, args)
+	for _, fe := range cc.foreachs {
+		bps := bindAll(fe.snippets, cfr)
+		for _, fname := range cm.lib.sets[fe.set] {
+			in.insert(fname, bps)
 		}
 	}
-	return nil
 }
 
 // syncCategoryFunctions maps SyncObject categories to the traced functions

@@ -779,10 +779,16 @@ func StdLib() *Library {
 }
 
 // NewLibraryWithStd compiles user MDL source and merges it on top of a fresh
-// copy of the standard library (how Paradyn users extend the tool, §4).
+// copy of the standard library (how Paradyn users extend the tool, §4). The
+// copy shares StdLib's compiled snippets, which are immutable, so the
+// standard source is compiled once per process, not once per library.
 func NewLibraryWithStd(userSrc string) (*Library, error) {
-	base, err := CompileSource(StdSource)
-	if err != nil {
+	lib := &Library{
+		sets:        map[string][]string{},
+		constraints: map[string]*compiledConstraint{},
+		metrics:     map[string]*CompiledMetric{},
+	}
+	if err := lib.MergeFrom(StdLib()); err != nil {
 		return nil, err
 	}
 	if userSrc != "" {
@@ -790,9 +796,9 @@ func NewLibraryWithStd(userSrc string) (*Library, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := base.MergeFrom(user); err != nil {
+		if err := lib.MergeFrom(user); err != nil {
 			return nil, err
 		}
 	}
-	return base, nil
+	return lib, nil
 }

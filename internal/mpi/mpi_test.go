@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"pperf/internal/cluster"
@@ -462,4 +463,27 @@ func TestAllreduceMaxMin(t *testing.T) {
 			t.Errorf("min = %v err=%v", mn, err)
 		}
 	})
+}
+
+func TestDeadlockReportNamesBlockedCalls(t *testing.T) {
+	// Both ranks receive first: the engine's deadlock report names each
+	// blocked call by kind, tag, communicator and rank.
+	w := newTestWorld(t, LAM, 2, 1)
+	w.Register("main", func(r *Rank, _ []string) {
+		c := r.World()
+		c.Recv(r, nil, 1, Byte, 1-r.Rank(), 5+r.Rank())
+		c.Send(r, nil, 1, Byte, 1-r.Rank(), 0)
+	})
+	if _, err := w.LaunchN("main", 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	err := w.Eng.Run()
+	if err == nil {
+		t.Fatal("want a deadlock error")
+	}
+	for _, want := range []string{"MPI_Recv(tag=5, comm=1) on rank 0", "MPI_Recv(tag=6, comm=1) on rank 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock report %q does not name %q", err, want)
+		}
+	}
 }

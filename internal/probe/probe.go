@@ -73,7 +73,8 @@ func (ev *Event) Arg(i int) any {
 }
 
 // Handler is a probe body. Handlers run synchronously in the traced
-// process's context.
+// process's context. The Event is valid only until the handler returns:
+// the process reuses it for its next firing.
 type Handler func(ev *Event)
 
 // ID identifies an inserted probe so it can be deleted.
@@ -136,6 +137,12 @@ type Process struct {
 	OnFire func(fn string, w Where, n int, t sim.Time)
 
 	seen map[string]bool
+
+	// ev is the Event handed to handlers, reused by every firing so that
+	// firing allocates nothing. firing is set while it is in use; a nested
+	// firing (a handler that enters a traced function) gets its own Event.
+	ev     Event
+	firing bool
 }
 
 // NewProcess creates the instrumentation state for one process.
@@ -244,14 +251,22 @@ func (p *Process) fire(f *Function, w Where, args []any) {
 	if len(list) == 0 {
 		return
 	}
-	ev := Event{
+	outer := p.firing
+	ev := &p.ev
+	if outer {
+		ev = new(Event)
+	}
+	p.firing = true
+	*ev = Event{
 		Proc: p, Func: f, Where: w, Args: args,
 		Time: p.clock.Now(), CPUTime: p.clock.CPUTime(),
 	}
 	for _, r := range list {
-		r.fn(&ev)
+		r.fn(ev)
 		p.Executions++
 	}
+	p.firing = outer
+	ev.Args = nil // do not keep the call's arguments alive until the next firing
 	if p.PerProbeCost > 0 {
 		p.clock.AddOverhead(sim.Duration(len(list)) * p.PerProbeCost)
 	}

@@ -222,3 +222,24 @@ func TestPropertyInsertRemoveBalance(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestNestedFiringKeepsOuterEvent(t *testing.T) {
+	// Firings reuse one Event per process; a handler that enters another
+	// traced function must not clobber the event later handlers of the
+	// outer point see.
+	p := NewProcess("p0", &fakeClock{})
+	var seen []string
+	p.Insert("MPI_Send", Entry, Append, func(*Event) { p.Enter(fApp, "inner"); p.Leave(fApp) })
+	p.Insert("MPI_Send", Entry, Append, func(ev *Event) { seen = append(seen, ev.Func.Name, ev.Arg(0).(string)) })
+	p.Insert("Gsend_message", Entry, Append, func(ev *Event) { seen = append(seen, ev.Func.Name, ev.Arg(0).(string)) })
+	p.Enter(fSend, "outer")
+	want := []string{"Gsend_message", "inner", "MPI_Send", "outer"}
+	if len(seen) != len(want) {
+		t.Fatalf("seen = %v, want %v", seen, want)
+	}
+	for i := range want {
+		if seen[i] != want[i] {
+			t.Fatalf("seen = %v, want %v", seen, want)
+		}
+	}
+}
